@@ -12,6 +12,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -27,6 +29,7 @@ import (
 	"repro/internal/sizing"
 	"repro/internal/sta"
 	"repro/internal/supergate"
+	"repro/rapids"
 )
 
 // table1Circuits is the subset exercised per bench invocation; pass
@@ -592,4 +595,55 @@ func BenchmarkRegionRoundTrip(b *testing.B) {
 	b.StopTimer()
 	sta.ReleaseTiming(tm)
 	b.ReportMetric(float64(regionsSeen), "regions")
+}
+
+// BenchmarkSessionApply measures one single-resize Session.Apply on
+// placed s38417 while a reader holds the view published before the
+// first edit: validation, the mutation, incremental re-timing, the
+// Delta, and publishing the next copy-on-write view. Each op toggles
+// one of a fixed pool of gates between its seeded size and another
+// legal size, so every Apply changes the circuit.
+func BenchmarkSessionApply(b *testing.B) {
+	c, err := rapids.Generate("s38417")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Place(rapids.PlaceSeed(1), rapids.PlaceMoves(5))
+	s, err := c.BeginSession(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	lib := library.Default035()
+	var toggles [2][]rapids.Edit
+	gates := c.Network().GateSlice()
+	rng := rand.New(rand.NewSource(1))
+	for len(toggles[0]) < 64 {
+		g := gates[rng.Intn(len(gates))]
+		if g.IsInput() {
+			continue
+		}
+		for size := 0; size < library.NumSizes; size++ {
+			if _, err := lib.Cell(g.Type, g.NumFanins(), size); size != g.SizeIdx && err == nil {
+				toggles[0] = append(toggles[0], rapids.Edit{Kind: rapids.EditResize, Gate: g.Name(), Size: size})
+				toggles[1] = append(toggles[1], rapids.Edit{Kind: rapids.EditResize, Gate: g.Name(), Size: g.SizeIdx})
+				break
+			}
+		}
+	}
+	pinned := s.View()
+	touched := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(toggles[0])
+		d, err := s.Apply(toggles[(i/len(toggles[0]))%2][k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		touched += d.TouchedGates
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(touched)/float64(b.N), "touched/op")
+	runtime.KeepAlive(pinned)
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/rapids"
 	"repro/rapids/server"
 )
@@ -36,6 +37,21 @@ func freePort(t *testing.T) int {
 	port := ln.Addr().(*net.TCPAddr).Port
 	ln.Close()
 	return port
+}
+
+// scrape fetches and parses one replica's /metrics exposition.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	m, err := metrics.Parse(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // waitReady polls /readyz until it answers 200.
@@ -133,6 +149,11 @@ func TestFleetSmoke(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	// The hits replica 1's first incarnation served die with it, and the
+	// final scrapes only see the survivors, so count them just before
+	// the kill. A hit served between this scrape and the kill is still
+	// lost.
+	preKill := scrape(t, d1.base)
 	d1.kill(t)
 
 	// Restart it on the same port, journal, and store directory. The
@@ -181,9 +202,11 @@ func TestFleetSmoke(t *testing.T) {
 	// The fleet dedupes across processes: the store served at least one
 	// duplicate (the crash can convert some store hits into owner-side
 	// cache hits, but a 2-replica fleet over 12 specs cannot finish
-	// without the shared layers doing real work).
-	storeHits := harness.SumSample(rep.Scrapes, `rapidsd_submissions_total{outcome="store_hit"}`)
-	cacheHits := harness.SumSample(rep.Scrapes, `rapidsd_submissions_total{outcome="cache_hit"}`)
+	// without the shared layers doing real work). The sum covers both
+	// incarnations of replica 1: its pre-kill scrape plus the final ones.
+	scrapes := append([]map[string]float64{preKill}, rep.Scrapes...)
+	storeHits := harness.SumSample(scrapes, `rapidsd_submissions_total{outcome="store_hit"}`)
+	cacheHits := harness.SumSample(scrapes, `rapidsd_submissions_total{outcome="cache_hit"}`)
 	if storeHits+cacheHits < float64(len(reqs)) {
 		t.Fatalf("dedupe missing: store_hit %.0f + cache_hit %.0f < %d duplicate submissions",
 			storeHits, cacheHits, len(reqs))

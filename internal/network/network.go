@@ -11,7 +11,6 @@
 package network
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strconv"
@@ -140,6 +139,16 @@ type Network struct {
 	snapCache *Snapshot
 	snapEpoch uint64
 
+	// shape counts writes to the gate set or to any fanin list (add,
+	// ReplaceFanin, SetFanins, RemoveGate — every other structural
+	// mutator goes through these). snapOrder is the topological order
+	// snapCache was captured in, valid while snapShape == shape: the next
+	// Snapshot then reuses it and copies only the pages whose gate fields
+	// moved.
+	shape     uint64
+	snapShape uint64
+	snapOrder []*Gate
+
 	// Batch-coalescing state (events.go): while batchDepth > 0, events
 	// for BatchObservers are buffered here instead of delivered per
 	// mutation. batchStamp dedups touched gates by dense ID against
@@ -264,6 +273,7 @@ func (n *Network) add(name string, t logic.GateType, fanins []*Gate) *Gate {
 	}
 	n.gates = append(n.gates, g)
 	n.byName[name] = g
+	n.shape++
 	n.touch(g)
 	n.touch(fanins...)
 	return g
@@ -303,6 +313,7 @@ func (n *Network) ReplaceFanin(g *Gate, idx int, nd *Gate) {
 	removeOneFanout(old, g)
 	g.fanins[idx] = nd
 	nd.fanouts = append(nd.fanouts, g)
+	n.shape++
 	n.touch(old, nd, g)
 }
 
@@ -321,6 +332,7 @@ func removeOneFanout(from, sink *Gate) {
 // SetFanins replaces the entire fanin list of g, keeping fanout lists
 // consistent. Used by technology mapping when restructuring wide gates.
 func (n *Network) SetFanins(g *Gate, fanins []*Gate) {
+	n.shape++
 	for _, old := range g.fanins {
 		removeOneFanout(old, g)
 		n.touch(old)
@@ -408,6 +420,7 @@ func (n *Network) RemoveGate(g *Gate) {
 	}
 	n.gates[g.id] = nil
 	n.removed++
+	n.shape++
 	delete(n.byName, g.name)
 	n.notifyRemoved(g)
 }
@@ -438,32 +451,31 @@ func (n *Network) Sweep() int {
 // TopoOrder returns the live gates in topological order (fanins before
 // fanouts). Ties between ready gates break by creation order (a min-heap
 // on gate ids), so the result is deterministic, and the whole order is
-// produced in O(E + V log V). It panics if the network contains a cycle;
-// use Validate to check first.
+// produced in O(E + V log V) over dense ID-indexed pending counts. It
+// panics if the network contains a cycle; use Validate to check first.
 func (n *Network) TopoOrder() []*Gate {
 	order := make([]*Gate, 0, n.NumGates())
-	pending := make(map[*Gate]int, n.NumGates())
-	ready := &gateHeap{}
+	pending := make([]int32, n.nextID)
+	var ready idHeap
 	for _, g := range n.gates {
 		if g == nil {
 			continue
 		}
 		if len(g.fanins) == 0 {
-			heap.Push(ready, g)
+			ready.push(int32(g.id))
 		} else {
-			pending[g] = len(g.fanins)
+			pending[g.id] = int32(len(g.fanins))
 		}
 	}
-	for ready.Len() > 0 {
-		g := heap.Pop(ready).(*Gate)
+	for len(ready) > 0 {
+		g := n.gates[ready.pop()]
 		order = append(order, g)
 		// A sink's pending count drops once per fanin occurrence,
 		// including multi-edges.
 		for _, s := range g.fanouts {
-			pending[s]--
-			if pending[s] == 0 {
-				delete(pending, s)
-				heap.Push(ready, s)
+			pending[s.id]--
+			if pending[s.id] == 0 {
+				ready.push(int32(s.id))
 			}
 		}
 	}
@@ -501,18 +513,51 @@ func (n *Network) TopoOrderFast() []*Gate {
 	return order
 }
 
-// gateHeap is a min-heap of gates by id.
-type gateHeap []*Gate
+// idHeap is a binary min-heap of int32 keys: gate IDs in TopoOrder,
+// positions in an ID-sorted slice in TopoOrderAmong.
+type idHeap []int32
 
-func (h gateHeap) Len() int            { return len(h) }
-func (h gateHeap) Less(i, j int) bool  { return h[i].id < h[j].id }
-func (h gateHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gateHeap) Push(x interface{}) { *h = append(*h, x.(*Gate)) }
-func (h *gateHeap) Pop() interface{} {
-	old := *h
-	g := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return g
+func (h *idHeap) push(x int32) {
+	a := append(*h, x)
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if a[p] <= x {
+			break
+		}
+		a[i] = a[p]
+		i = p
+	}
+	a[i] = x
+	*h = a
+}
+
+func (h *idHeap) pop() int32 {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	x := a[last]
+	a = a[:last]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && a[c+1] < a[c] {
+			c++
+		}
+		if x <= a[c] {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	if last > 0 {
+		a[i] = x
+	}
+	*h = a
+	return top
 }
 
 // TopoOrderAmong returns the given gates in topological order with
@@ -522,33 +567,41 @@ func (h *gateHeap) Pop() interface{} {
 // as TopoOrder. It panics if the subset contains a cycle. Region
 // extraction uses it to walk a region interior fanin-first.
 func TopoOrderAmong(gates []*Gate, in func(*Gate) bool) []*Gate {
-	pending := make(map[*Gate]int, len(gates))
-	ready := &gateHeap{}
-	for _, g := range gates {
-		c := 0
+	// Heap keys are positions in an ID-sorted copy, so the smallest
+	// position is the smallest ID.
+	byID := append([]*Gate(nil), gates...)
+	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
+	pos := make(map[*Gate]int32, len(byID))
+	for i, g := range byID {
+		pos[g] = int32(i)
+	}
+	pending := make([]int32, len(byID))
+	var ready idHeap
+	for i, g := range byID {
 		for _, f := range g.fanins {
 			if in(f) {
-				c++
+				pending[i]++
 			}
 		}
-		if c == 0 {
-			heap.Push(ready, g)
-		} else {
-			pending[g] = c
+		if pending[i] == 0 {
+			ready.push(int32(i))
 		}
 	}
-	order := make([]*Gate, 0, len(gates))
-	for ready.Len() > 0 {
-		g := heap.Pop(ready).(*Gate)
+	order := make([]*Gate, 0, len(byID))
+	for len(ready) > 0 {
+		g := byID[ready.pop()]
 		order = append(order, g)
 		for _, s := range g.fanouts {
 			if !in(s) {
 				continue
 			}
-			pending[s]--
-			if pending[s] == 0 {
-				delete(pending, s)
-				heap.Push(ready, s)
+			p, ok := pos[s]
+			if !ok {
+				continue
+			}
+			pending[p]--
+			if pending[p] == 0 {
+				ready.push(p)
 			}
 		}
 	}

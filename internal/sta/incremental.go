@@ -642,8 +642,8 @@ func (q *levelQueue) pop() *network.Gate {
 	return g
 }
 
-func (h levelHeap) Len() int { return len(h.gates) }
-func (h levelHeap) Less(i, j int) bool {
+func (h *levelHeap) Len() int { return len(h.gates) }
+func (h *levelHeap) Less(i, j int) bool {
 	li, lj := h.it.levelOf(h.gates[i]), h.it.levelOf(h.gates[j])
 	if li != lj {
 		if h.desc {
@@ -656,7 +656,7 @@ func (h levelHeap) Less(i, j int) bool {
 	// set seeded the queue in.
 	return h.gates[i].ID() < h.gates[j].ID()
 }
-func (h levelHeap) Swap(i, j int) { h.gates[i], h.gates[j] = h.gates[j], h.gates[i] }
+func (h *levelHeap) Swap(i, j int) { h.gates[i], h.gates[j] = h.gates[j], h.gates[i] }
 func (h *levelHeap) Push(x interface{}) {
 	h.gates = append(h.gates, x.(*network.Gate))
 }

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -182,7 +183,7 @@ func (c *Circuit) BeginSession(ctx context.Context, opts ...Option) (*Session, e
 		initialNS: tm.CriticalDelay,
 	}
 	s.refreshSlacks(tm)
-	s.publish(tm)
+	s.publish(tm, pathStages(tm))
 	return s, nil
 }
 
@@ -200,14 +201,15 @@ func (s *Session) refreshSlacks(tm *sta.Timing) {
 }
 
 // publish captures the current snapshot + timing into a fresh view.
-func (s *Session) publish(tm *sta.Timing) {
+// path is tm's critical path; the view takes ownership of it.
+func (s *Session) publish(tm *sta.Timing, path []PathStage) {
 	v := &TimingView{
 		Seq:          s.seq,
 		Epoch:        s.c.net.Epoch(),
 		DelayNS:      tm.CriticalDelay,
 		LatenessNS:   tm.Lateness,
 		Gates:        s.c.net.NumGates(),
-		CriticalPath: pathStages(tm),
+		CriticalPath: path,
 		snap:         s.c.net.Snapshot(),
 	}
 	s.view.Store(v)
@@ -406,7 +408,9 @@ func (s *Session) retime(prev float64, start time.Time) *Delta {
 		return d.ChangedSlacks[i].Gate < d.ChangedSlacks[j].Gate
 	})
 	d.Elapsed = time.Since(start)
-	s.publish(tm)
+	// The view gets its own copy of the path, so the caller's Delta and
+	// the immutable view share no slice.
+	s.publish(tm, slices.Clone(d.CriticalPath))
 	return d
 }
 
@@ -434,7 +438,7 @@ func (s *Session) Commit() (*SessionResult, error) {
 		return nil, ErrSessionClosed
 	}
 	tm := s.inc.Update()
-	s.publish(tm)
+	s.publish(tm, pathStages(tm))
 	res := &SessionResult{
 		Edits: s.edits, Reopts: s.reopts, Seq: s.seq,
 		InitialDelayNS: s.initialNS,
