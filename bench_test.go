@@ -24,7 +24,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/opt"
 	"repro/internal/place"
-	"repro/internal/region"
 	"repro/internal/rewire"
 	"repro/internal/sizing"
 	"repro/internal/sta"
@@ -450,7 +449,7 @@ func BenchmarkRedundancyRemoval(b *testing.B) {
 	b.ReportMetric(float64(removed), "removed")
 }
 
-// --- PR 3: criticality windowing and region partitioning ---
+// --- Criticality windowing and restart rounds ---
 
 // BenchmarkWindowedMoveGen measures one phase of candidate generation on
 // s38417 at several criticality windows (window=0 is the default 2%/10%
@@ -503,19 +502,18 @@ func BenchmarkOptimizeWindowed(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeRegioned runs gsg+GS on s38417 sequentially versus
-// region-partitioned (8 regions per round). On a multi-core host the
-// regioned arm additionally overlaps region optimization on goroutines;
-// on any host it shows the windowed-partition work reduction.
+// BenchmarkOptimizeRegioned runs gsg+GS on s38417 as one run versus the
+// restart rounds that rapids.WithRegions(8) selects, unwindowed and
+// windowed. The arm names keep the -regions spelling of the CLI.
 func BenchmarkOptimizeRegioned(b *testing.B) {
 	for _, arm := range []struct {
-		name    string
-		regions int
-		window  float64
+		name   string
+		rounds int
+		window float64
 	}{
-		{"regions=1", 1, 0},
-		{"regions=8", 8, 0},
-		{"regions=8,window=0.005", 8, 0.005},
+		{"regions=1", 0, 0},
+		{"regions=8", opt.DefaultRounds, 0},
+		{"regions=8,window=0.005", opt.DefaultRounds, 0.005},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var res opt.Result
@@ -523,9 +521,8 @@ func BenchmarkOptimizeRegioned(b *testing.B) {
 				b.StopTimer()
 				n, l, _ := staSwapSetup(b)
 				b.StartTimer()
-				res = opt.OptimizeRegioned(context.Background(), n, l, opt.GsgGS,
-					opt.Options{MaxIters: 4, Workers: 1, Window: arm.window},
-					opt.RegionSchedule{Regions: arm.regions})
+				res = opt.Optimize(context.Background(), n, l, opt.GsgGS,
+					opt.Options{MaxIters: 4, Workers: 1, Window: arm.window, Rounds: arm.rounds})
 			}
 			b.ReportMetric(res.Evals.PerPhase(), "evals/phase")
 			b.ReportMetric(res.FinalDelay, "final-ns")
@@ -534,67 +531,28 @@ func BenchmarkOptimizeRegioned(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeRegioned stresses the region scheduler beyond the Table 1
-// scale: a stitched multi-block circuit (~50k gates, unplaced — pin-cap
-// loads only) optimized gsg region-partitioned. Not part of bench-smoke.
+// BenchmarkLargeRegioned runs gsg beyond the Table 1 scale — a stitched
+// multi-block circuit (~50k gates, unplaced — pin-cap loads only) — as
+// one run versus two restart rounds. Not part of bench-smoke.
 func BenchmarkLargeRegioned(b *testing.B) {
 	l := library.Default035()
 	base := gen.Large(50000, 1)
 	sizing.SeedForLoad(base, l, 0)
-	for _, regions := range []int{1, 8} {
-		b.Run(fmt.Sprintf("regions=%d", regions), func(b *testing.B) {
+	for _, rounds := range []int{1, 2} {
+		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
 			var res opt.Result
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				n, _ := base.Clone()
 				b.StartTimer()
-				res = opt.OptimizeRegioned(context.Background(), n, l, opt.Gsg, opt.Options{MaxIters: 2, Workers: 1},
-					opt.RegionSchedule{Regions: regions, Rounds: 2})
+				res = opt.Optimize(context.Background(), n, l, opt.Gsg,
+					opt.Options{MaxIters: 2, Workers: 1, Rounds: rounds})
 			}
 			b.ReportMetric(res.Evals.PerPhase(), "evals/phase")
 			b.ReportMetric(res.ImprovementPct(), "improve%")
 			b.ReportMetric(float64(res.Swaps), "swaps")
 		})
 	}
-}
-
-// BenchmarkRegionRoundTrip isolates the region scheduler's fixed costs —
-// the part of a regioned run that is pure overhead relative to a
-// sequential Optimize: partition the network, extract every region under
-// pinned bounds, capture its rollback snapshot, stitch the (unmodified)
-// subnetwork back, run the post-stitch acyclicity check, and reconcile
-// with a full re-analysis, exactly one accepted scheduler round with the
-// optimizer taken out. The measured time and allocations are the
-// extract/snapshot/stitch/verify path PR 6 tuned, and the allocs/op
-// band in PERF_BASELINE.json keeps it from regressing silently.
-func BenchmarkRegionRoundTrip(b *testing.B) {
-	n, l, _ := staSwapSetup(b)
-	tm := sta.AnalyzeReleased(n, l, 0, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	regionsSeen := 0
-	for i := 0; i < b.N; i++ {
-		part := region.Build(n, tm, region.Options{Window: region.DefaultWindow, MaxRegions: 8})
-		regionsSeen = len(part.Regions)
-		for _, r := range part.Regions {
-			ext := region.Extract(n, tm, r)
-			pre := ext.Snapshot()
-			installed := region.Stitch(n, ext.Net, r.Interior)
-			_ = pre
-			_ = installed
-		}
-		if err := n.CheckAcyclic(); err != nil {
-			b.Fatal(err)
-		}
-		// The round's global reconcile (stitching replaced every gate
-		// object, so the next partition needs a fresh analysis anyway).
-		clock := tm.Clock
-		sta.ReleaseTiming(tm)
-		tm = sta.AnalyzeReleased(n, l, clock, nil)
-	}
-	b.StopTimer()
-	sta.ReleaseTiming(tm)
-	b.ReportMetric(float64(regionsSeen), "regions")
 }
 
 // BenchmarkSessionApply measures one single-resize Session.Apply on

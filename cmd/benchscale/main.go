@@ -35,7 +35,7 @@ func main() {
 		iters    = flag.Int("iters", 4, "optimizer MaxIters per run")
 		circuits = flag.String("circuits", "s13207,s38417", "comma-separated benchmark circuits")
 		workers  = flag.String("workers", "1,2,4", "comma-separated scoring-worker counts")
-		regions  = flag.String("regions", "1,8", "comma-separated region counts (1 = sequential baseline)")
+		regions  = flag.String("regions", "1,8", "comma-separated -regions values (1 = one optimizer run, >1 = restart rounds)")
 		windows  = flag.String("windows", "0,0.005", "comma-separated criticality windows (0 = default margins)")
 		profiles = flag.String("profiles", "", "directory for per-arm cpu_*.prof and mem_*.prof (empty = off)")
 		quick    = flag.Bool("quick", false, "seconds-long smoke grid: alu2, workers 1, regions 1+4, 1 rep")

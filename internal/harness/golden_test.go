@@ -65,12 +65,42 @@ func closeRel(got, want float64) bool {
 	return math.Abs(got-want) <= 1e-6*scale
 }
 
+// goldenRegionedRows pin the same two benchmarks under Regions: 3, the
+// rapids.WithRegions restart rounds.
+var goldenRegionedRows = map[string]goldenRow{
+	"c432": {
+		gates:  291,
+		initNS: 7.037512853,
+		gsgPct: 0.981919733, gsPct: 8.108980749, bothPct: 8.571546271,
+		gsAreaPct: -10.786149739, bothAreaPct: -7.801729290,
+		covPct: 30.584192440, l: 8, red: 10,
+	},
+	"alu2": {
+		gates:  516,
+		initNS: 19.473061959,
+		gsgPct: 3.671826124, gsPct: 5.059429900, bothPct: 6.772848478,
+		gsAreaPct: -10.229044472, bothAreaPct: -8.311678670,
+		covPct: 25.387596899, l: 8, red: 15,
+	},
+}
+
 func TestGoldenRows(t *testing.T) {
+	checkGoldenRows(t, goldenConfig(), goldenRows)
+}
+
+func TestGoldenRowsRegioned(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Regions = 3
+	checkGoldenRows(t, cfg, goldenRegionedRows)
+}
+
+func checkGoldenRows(t *testing.T, cfg Config, rows map[string]goldenRow) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden rows are recorded on amd64; %s may take a different valid optimizer trajectory", runtime.GOARCH)
 	}
-	for name, want := range goldenRows {
-		row, err := RunBenchmark(name, goldenConfig())
+	for name, want := range rows {
+		row, err := RunBenchmark(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -44,10 +44,8 @@ type Config struct {
 	// Window, when > 0, narrows candidate generation to sites within
 	// Window×Clock of the worst slack (see rapids.WithWindow).
 	Window float64
-	// Regions, when > 1, runs every optimizer region-partitioned: up to
-	// Regions timing regions are extracted and optimized concurrently
-	// per round, with a global re-analysis reconciling rounds (see
-	// rapids.WithRegions).
+	// Regions, when > 1, runs every optimizer as whole-network restart
+	// rounds (see rapids.WithRegions).
 	Regions int
 	// Progress, when non-nil, receives the typed rapids.Event stream of
 	// every optimizer run.

@@ -71,8 +71,8 @@ const numTypes = int(logic.Input) + 1
 // Library is a set of cells indexed by (function, fanin, size). The index
 // is a small dense array rather than a map: Cell sits on the optimizers'
 // innermost delay-evaluation path (every arrival, required time, and
-// hypothetical candidate resolves a cell), and profiling PR 6's region
-// scheduler showed the struct-keyed map hash alone at ~17 % of total CPU.
+// hypothetical candidate resolves a cell), and profiling the optimizer
+// showed the struct-keyed map hash alone at ~17 % of total CPU.
 type Library struct {
 	name  string
 	cells [numTypes][MaxFanin + 1][NumSizes]*Cell

@@ -7,57 +7,6 @@ import (
 	"repro/internal/logic"
 )
 
-// CheckAcyclic is the region scheduler's per-round safety net; these
-// tests pin both invariants it guards (see regions.go): a combinational
-// cycle introduced by region-blind rewiring, and a fanin pointer left
-// dangling at a deleted gate.
-
-func TestCheckAcyclicClean(t *testing.T) {
-	n := New("clean")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	g1 := n.AddGate("g1", logic.Nand, a, b)
-	g2 := n.AddGate("g2", logic.Nor, g1, a)
-	n.MarkOutput(g2)
-	if err := n.CheckAcyclic(); err != nil {
-		t.Fatalf("clean network reported: %v", err)
-	}
-}
-
-func TestCheckAcyclicDetectsCycle(t *testing.T) {
-	n := New("cyclic")
-	a := n.AddInput("a")
-	b := n.AddInput("b")
-	g1 := n.AddGate("g1", logic.Nand, a, b)
-	g2 := n.AddGate("g2", logic.Nor, g1, a)
-	n.MarkOutput(g2)
-	// ReplaceFanin performs no cycle check by design — that is exactly
-	// what CheckAcyclic exists to catch after a stitched round.
-	n.ReplaceFanin(g1, 0, g2)
-	err := n.CheckAcyclic()
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("cycle not detected: %v", err)
-	}
-}
-
-func TestCheckAcyclicDetectsDeadFanin(t *testing.T) {
-	n := New("dangling")
-	a := n.AddInput("a")
-	i1 := n.AddGate("i1", logic.Inv, a)
-	f := n.AddGate("f", logic.Inv, i1)
-	n.MarkOutput(f)
-	dead := n.AddGate("dead", logic.Inv, a)
-	n.RemoveGate(dead)
-	// Simulate the corruption a buggy stitch would leave behind: a live
-	// gate still pointing at the deleted one. No mutator can produce
-	// this, so the test plants it directly.
-	f.fanins[0] = dead
-	err := n.CheckAcyclic()
-	if err == nil || !strings.Contains(err.Error(), "dead fanin") {
-		t.Fatalf("dead fanin not detected: %v", err)
-	}
-}
-
 // TestTopoOrderFastFallback: creation order is topological for freshly
 // built networks (the fast path), and rewiring that breaks it must make
 // TopoOrderFast fall back to a correct full sort.

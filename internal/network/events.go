@@ -188,8 +188,8 @@ func (n *Network) touch(gs ...*Gate) {
 }
 
 // Touch reports through the event layer that g's externally pinned
-// timing context changed — a boundary arrival, required time, or extra
-// load that lives outside the network structure (sta.Bounds). The
+// timing context changed — a boundary arrival or required time that lives
+// outside the network structure (sta.Bounds). The
 // network itself is unmodified; observers see GateTouched and the
 // mutation epoch advances so cached snapshots know timing moved.
 func (n *Network) Touch(g *Gate) {

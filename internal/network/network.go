@@ -494,7 +494,7 @@ func (n *Network) TopoOrder() []*Gate {
 // history, but it is NOT TopoOrder's id-tie-break order; use it only
 // where any valid order serves (per-gate dataflow like timing passes),
 // not where the specific sequence feeds downstream identity (Clone,
-// Stitch).
+// blif.Write).
 func (n *Network) TopoOrderFast() []*Gate {
 	order := make([]*Gate, 0, n.NumGates())
 	seen := make([]bool, n.nextID)
@@ -513,8 +513,7 @@ func (n *Network) TopoOrderFast() []*Gate {
 	return order
 }
 
-// idHeap is a binary min-heap of int32 keys: gate IDs in TopoOrder,
-// positions in an ID-sorted slice in TopoOrderAmong.
+// idHeap is a binary min-heap of gate IDs, TopoOrder's ready queue.
 type idHeap []int32
 
 func (h *idHeap) push(x int32) {
@@ -558,57 +557,6 @@ func (h *idHeap) pop() int32 {
 	}
 	*h = a
 	return top
-}
-
-// TopoOrderAmong returns the given gates in topological order with
-// respect to the edges whose endpoints are both in the set (membership
-// decided by in): fanins in the set come before their in-set fanouts,
-// and ready ties break on dense gate ID — the same determinism contract
-// as TopoOrder. It panics if the subset contains a cycle. Region
-// extraction uses it to walk a region interior fanin-first.
-func TopoOrderAmong(gates []*Gate, in func(*Gate) bool) []*Gate {
-	// Heap keys are positions in an ID-sorted copy, so the smallest
-	// position is the smallest ID.
-	byID := append([]*Gate(nil), gates...)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
-	pos := make(map[*Gate]int32, len(byID))
-	for i, g := range byID {
-		pos[g] = int32(i)
-	}
-	pending := make([]int32, len(byID))
-	var ready idHeap
-	for i, g := range byID {
-		for _, f := range g.fanins {
-			if in(f) {
-				pending[i]++
-			}
-		}
-		if pending[i] == 0 {
-			ready.push(int32(i))
-		}
-	}
-	order := make([]*Gate, 0, len(byID))
-	for len(ready) > 0 {
-		g := byID[ready.pop()]
-		order = append(order, g)
-		for _, s := range g.fanouts {
-			if !in(s) {
-				continue
-			}
-			p, ok := pos[s]
-			if !ok {
-				continue
-			}
-			pending[p]--
-			if pending[p] == 0 {
-				ready.push(p)
-			}
-		}
-	}
-	if len(order) != len(gates) {
-		panic("network: cycle detected in TopoOrderAmong")
-	}
-	return order
 }
 
 // ReverseTopoOrder returns gates in reverse topological order (fanouts
@@ -719,49 +667,6 @@ func (n *Network) Validate() error {
 				}
 			} else {
 				color[g] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
-}
-
-// CheckAcyclic verifies the two invariants region-blind rewiring can
-// break — acyclicity and fanin liveness — and returns the first
-// violation, or nil. It is the region scheduler's per-round safety net:
-// the same checks Validate performs, minus the edge-multiset audit, on
-// dense ID-indexed scratch instead of maps, so it is cheap enough to run
-// after every stitched round.
-func (n *Network) CheckAcyclic() error {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	colors := make([]uint8, n.nextID)
-	var stack []*Gate
-	for _, root := range n.gates {
-		if root == nil || colors[root.id] != white {
-			continue
-		}
-		stack = append(stack[:0], root)
-		for len(stack) > 0 {
-			g := stack[len(stack)-1]
-			if colors[g.id] == white {
-				colors[g.id] = gray
-				for _, f := range g.fanins {
-					if n.gates[f.id] != f {
-						return fmt.Errorf("%s has dead fanin %s", g, f)
-					}
-					switch colors[f.id] {
-					case gray:
-						return fmt.Errorf("combinational cycle through %s", f)
-					case white:
-						stack = append(stack, f)
-					}
-				}
-			} else {
-				colors[g.id] = black
 				stack = stack[:len(stack)-1]
 			}
 		}

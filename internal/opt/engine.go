@@ -106,8 +106,8 @@ func (s EvalStats) PerPhase() float64 {
 	return float64(s.Candidates()) / float64(s.Phases)
 }
 
-// Add folds another engine's counters into s; the region scheduler
-// aggregates per-region engines with it. Every EvalStats field must be
+// Add folds another engine's counters into s; the restart rounds
+// aggregate per-round counters with it. Every EvalStats field must be
 // folded here.
 func (s *EvalStats) Add(o EvalStats) {
 	s.Phases += o.Phases
@@ -137,9 +137,8 @@ type Engine struct {
 
 // NewEngine builds an engine with the given parallelism; workers <= 0
 // selects GOMAXPROCS. The per-worker arenas come from the shared scratch
-// pool, so engines created round after round (the region scheduler builds
-// one engine per concurrency slot) reuse grown arrays instead of paying
-// the warm-up allocations again; Release returns them.
+// pool, so engines created run after run reuse grown arrays instead of
+// paying the warm-up allocations again; Release returns them.
 func NewEngine(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -168,9 +167,8 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Stats() EvalStats { return e.stats }
 
 // TakeStats returns the accumulated counters and resets them, so one
-// engine can serve several Optimize runs (the region scheduler reuses an
-// engine per concurrency slot across regions and rounds) with each run
-// reporting only its own work.
+// engine can serve several Optimize runs (the restart rounds share one
+// engine) with each run reporting only its own work.
 func (e *Engine) TakeStats() EvalStats {
 	s := e.stats
 	e.stats = EvalStats{}

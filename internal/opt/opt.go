@@ -39,6 +39,9 @@ import (
 
 const eps = 1e-9
 
+// DefaultRounds is the Rounds value behind rapids.WithRegions(n > 1).
+const DefaultRounds = 3
+
 // Strategy selects which optimizer §6 compares.
 type Strategy int
 
@@ -93,37 +96,40 @@ type Options struct {
 	// evaluate far fewer candidates on large circuits at a small cost in
 	// final delay; every accepted batch is still guarded globally.
 	Window float64
+	// Rounds, when > 1, restarts the optimizer on the whole network up
+	// to Rounds times: each round is a fresh run (one iteration when
+	// Window is unset, MaxIters otherwise) followed by a sweep and one
+	// from-scratch analysis, and the run stops after a round that commits
+	// nothing or does not improve the lateness. <= 1 runs once.
+	Rounds int
 	// Bounds pins boundary timing conditions (arrivals at selected
-	// primary inputs, required times and exterior loads at selected
-	// primary outputs) for every analysis of the run. The region
-	// scheduler sets it when optimizing an extracted subnetwork; leave
-	// nil for whole networks.
+	// primary inputs, required times at selected primary outputs) for
+	// every analysis of the run. ECO sessions set it from their pin
+	// edits; leave nil for unconstrained networks.
 	Bounds *sta.Bounds
 	// Progress, when non-nil, receives one "start" PhaseReport after
 	// the seeding analysis and one PhaseReport after every completed
-	// optimizer phase (an objective pass of Optimize, or a whole round
-	// of OptimizeRegioned). It is called synchronously on the
-	// optimizer's goroutine and must not mutate the network.
+	// optimizer phase (an objective pass, or a whole round when Rounds
+	// > 1). It is called synchronously on the optimizer's goroutine and
+	// must not mutate the network.
 	Progress func(PhaseReport)
 
 	// engine, when non-nil, is a caller-owned scoring engine to use
-	// instead of building (and releasing) a fresh one. The region
-	// scheduler hands each concurrency slot one persistent engine so its
-	// scratch arenas survive across regions and rounds. The run consumes
-	// the engine's counters via TakeStats.
+	// instead of building (and releasing) a fresh one. The restart
+	// rounds share one engine so its scratch arenas survive across
+	// rounds. The run consumes the engine's counters via TakeStats.
 	engine *Engine
 	// skipFinal skips the final from-scratch ground-truth analysis and
-	// reports FinalDelay from the incremental timer instead. The region
-	// scheduler sets it for per-region runs: their FinalDelay is
-	// discarded (the round's single global reconcile is the ground
-	// truth), so each region paying one extra full analysis is waste.
+	// reports FinalDelay from the incremental timer instead. The restart
+	// rounds set it: each round's FinalDelay is discarded for the
+	// analysis that follows the round.
 	skipFinal bool
 }
 
 // PhaseReport is one typed progress milestone of an optimization run.
 type PhaseReport struct {
-	// Iteration is the 1-based outer iteration (round, for the region
-	// scheduler); 0 for the "start" report.
+	// Iteration is the 1-based outer iteration (the round, when Rounds
+	// > 1); 0 for the "start" report.
 	Iteration int
 	// Phase names the completed phase: "start" (the seeding analysis),
 	// "min-slack", "sum-slack", or "round".
@@ -220,6 +226,9 @@ func (r Result) AreaDeltaPct() float64 {
 // valid, function-preserving improvement of the input). A nil context
 // never cancels.
 func Optimize(ctx context.Context, n *network.Network, lib *library.Library, strat Strategy, o Options) Result {
+	if o.Rounds > 1 {
+		return optimizeRounds(ctx, n, lib, strat, o)
+	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 6
 	}

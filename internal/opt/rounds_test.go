@@ -1,9 +1,9 @@
 package opt
 
-// Properties of the region-partitioned, criticality-windowed optimizer:
-// it must produce simulation-equivalent netlists, never regress the
-// critical delay, land within 1 % of the full sequential run, and — the
-// point of the exercise — evaluate no more candidates than the full run.
+// Properties of the restart rounds and the criticality window: both must
+// produce simulation-equivalent netlists, never regress the critical
+// delay, and land within 1 % of the single full run; the window must in
+// addition evaluate no more candidates than the full run.
 
 import (
 	"context"
@@ -18,10 +18,10 @@ import (
 	"repro/internal/supergate"
 )
 
-// regionCircuits returns named, placed, load-seeded copies of the
+// roundCircuits returns named, placed, load-seeded copies of the
 // property-test circuits: two small Table-1 benchmarks plus randomized
 // generated netlists.
-func regionCircuits(t *testing.T, short bool) map[string]*network.Network {
+func roundCircuits(t *testing.T, short bool) map[string]*network.Network {
 	t.Helper()
 	out := make(map[string]*network.Network)
 	add := func(name string, n *network.Network, err error) {
@@ -45,26 +45,25 @@ func regionCircuits(t *testing.T, short bool) map[string]*network.Network {
 	return out
 }
 
-func TestOptimizeRegionedEquivalentAndWithin1Pct(t *testing.T) {
-	for name, base := range regionCircuits(t, testing.Short()) {
+func TestOptimizeRoundsEquivalentAndWithin1Pct(t *testing.T) {
+	for name, base := range roundCircuits(t, testing.Short()) {
 		for _, strat := range []Strategy{Gsg, GsgGS} {
 			seq, _ := base.Clone()
-			reg, _ := base.Clone()
+			rnd, _ := base.Clone()
 			full := Optimize(context.Background(), seq, lib(), strat, Options{MaxIters: 3, Workers: 1})
-			regioned := OptimizeRegioned(context.Background(), reg, lib(), strat, Options{MaxIters: 3},
-				RegionSchedule{Regions: 4})
+			rounds := Optimize(context.Background(), rnd, lib(), strat, Options{MaxIters: 3, Rounds: 4})
 
-			if ce, err := sim.EquivalentRandom(base, reg, 8, 7); err != nil {
+			if ce, err := sim.EquivalentRandom(base, rnd, 8, 7); err != nil {
 				t.Fatalf("%s/%v: %v", name, strat, err)
 			} else if ce != nil {
-				t.Fatalf("%s/%v: regioned run changed function: %v", name, strat, ce)
+				t.Fatalf("%s/%v: restart rounds changed function: %v", name, strat, ce)
 			}
-			if regioned.FinalDelay > regioned.InitialDelay+1e-9 {
-				t.Fatalf("%s/%v: regioned run worsened delay: %+v", name, strat, regioned)
+			if rounds.FinalDelay > rounds.InitialDelay+1e-9 {
+				t.Fatalf("%s/%v: restart rounds worsened delay: %+v", name, strat, rounds)
 			}
-			if regioned.FinalDelay > full.FinalDelay*1.01+1e-9 {
-				t.Fatalf("%s/%v: regioned delay %.4f more than 1%% above sequential %.4f",
-					name, strat, regioned.FinalDelay, full.FinalDelay)
+			if rounds.FinalDelay > full.FinalDelay*1.01+1e-9 {
+				t.Fatalf("%s/%v: restart rounds delay %.4f more than 1%% above single run %.4f",
+					name, strat, rounds.FinalDelay, full.FinalDelay)
 			}
 		}
 	}
@@ -72,7 +71,7 @@ func TestOptimizeRegionedEquivalentAndWithin1Pct(t *testing.T) {
 
 func TestOptimizeWindowedEquivalentAndCheaper(t *testing.T) {
 	table1 := map[string]bool{"c432": true, "alu2": true}
-	for name, base := range regionCircuits(t, testing.Short()) {
+	for name, base := range roundCircuits(t, testing.Short()) {
 		seq, _ := base.Clone()
 		win, _ := base.Clone()
 		full := Optimize(context.Background(), seq, lib(), GsgGS, Options{MaxIters: 3, Workers: 1})
@@ -135,17 +134,16 @@ func TestWindowNarrowsCandidateGeneration(t *testing.T) {
 	}
 }
 
-// TestOptimizeRegionedDeterministic: two runs from identical inputs give
-// identical results and netlists, no matter that regions optimize on
-// concurrent goroutines.
-func TestOptimizeRegionedDeterministic(t *testing.T) {
+// TestOptimizeRoundsDeterministic: two restart-round runs from identical
+// inputs give identical results and netlists.
+func TestOptimizeRoundsDeterministic(t *testing.T) {
 	base := gen.FromProfile(parallelProfile(31))
 	place.Place(base, lib(), place.Options{Seed: 2, MovesPerCell: 6})
 	sizing.SeedForLoad(base, lib(), 0)
 	a, _ := base.Clone()
 	b, _ := base.Clone()
-	ra := OptimizeRegioned(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2}, RegionSchedule{Regions: 3})
-	rb := OptimizeRegioned(context.Background(), b, lib(), GsgGS, Options{MaxIters: 2}, RegionSchedule{Regions: 3})
+	ra := Optimize(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2, Rounds: 3})
+	rb := Optimize(context.Background(), b, lib(), GsgGS, Options{MaxIters: 2, Rounds: 3})
 	if ra != rb {
 		t.Fatalf("results differ:\n%+v\n%+v", ra, rb)
 	}
@@ -154,35 +152,35 @@ func TestOptimizeRegionedDeterministic(t *testing.T) {
 	}
 }
 
-// TestOptimizeRegionedDegradesToSequential: a schedule without region
-// parallelism is exactly Optimize.
-func TestOptimizeRegionedDegradesToSequential(t *testing.T) {
+// TestOptimizeRoundsDegradesToSequential: a single round is exactly the
+// plain run.
+func TestOptimizeRoundsDegradesToSequential(t *testing.T) {
 	base := gen.FromProfile(parallelProfile(33))
 	place.Place(base, lib(), place.Options{Seed: 2, MovesPerCell: 5})
 	sizing.SeedForLoad(base, lib(), 0)
 	a, _ := base.Clone()
 	b, _ := base.Clone()
-	ra := OptimizeRegioned(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2, Workers: 1}, RegionSchedule{Regions: 1})
+	ra := Optimize(context.Background(), a, lib(), GsgGS, Options{MaxIters: 2, Workers: 1, Rounds: 1})
 	rb := Optimize(context.Background(), b, lib(), GsgGS, Options{MaxIters: 2, Workers: 1})
 	if ra != rb {
-		t.Fatalf("degenerate schedule diverged from Optimize:\n%+v\n%+v", ra, rb)
+		t.Fatalf("a single round diverged from the plain run:\n%+v\n%+v", ra, rb)
 	}
 	if sa, sb := netSignature(a), netSignature(b); sa != sb {
-		t.Fatal("degenerate schedule produced a different netlist")
+		t.Fatal("a single round produced a different netlist")
 	}
 }
 
-// TestRegionSchedulerUnderRace gives `go test -race` concurrent
-// region-level optimization to chew on; kept small so the race job stays
-// fast.
-func TestRegionSchedulerUnderRace(t *testing.T) {
+// TestOptimizeRoundsUnderRace gives `go test -race` the restart rounds,
+// with the shared engine scoring on parallel workers, to chew on; kept
+// small so the race job stays fast.
+func TestOptimizeRoundsUnderRace(t *testing.T) {
 	base := gen.FromProfile(parallelProfile(44))
 	place.Place(base, lib(), place.Options{Seed: 1, MovesPerCell: 5})
 	sizing.SeedForLoad(base, lib(), 0)
 	orig, _ := base.Clone()
-	res := OptimizeRegioned(context.Background(), base, lib(), GsgGS, Options{MaxIters: 2}, RegionSchedule{Regions: 4})
+	res := Optimize(context.Background(), base, lib(), GsgGS, Options{MaxIters: 2, Workers: 4, Rounds: 4})
 	if res.FinalDelay > res.InitialDelay+1e-9 {
-		t.Fatalf("regioned optimize worsened delay: %+v", res)
+		t.Fatalf("restart rounds worsened delay: %+v", res)
 	}
 	if ce, err := sim.EquivalentRandom(orig, base, 4, 5); err != nil || ce != nil {
 		t.Fatalf("function changed: %v %v", ce, err)

@@ -1,5 +1,7 @@
 // Package perf is the scaling-curve benchmark harness: it runs full
-// optimizer flows over a workers × regions × window × circuit grid and
+// optimizer flows over a workers × regions × window × circuit grid (an
+// arm with regions > 1 runs the restart rounds rapids.WithRegions
+// selects) and
 // records, per arm, the wall clock, process CPU time, allocation volume,
 // candidate-evaluation counts, and final quality, together with the host
 // facts needed to interpret them (CPU model, core count, GOMAXPROCS).
@@ -90,9 +92,9 @@ type ArmResult struct {
 // Host records the facts needed to interpret the numbers.
 type Host struct {
 	CPU string `json:"cpu"`
-	// CPUsAvailable is runtime.NumCPU — on a 1-CPU host the regioned
-	// arms measure scheduler overhead, not parallel speedup, and the
-	// report says so honestly instead of hiding the curve.
+	// CPUsAvailable is runtime.NumCPU — on a 1-CPU host the workers > 1
+	// arms measure pool overhead, not parallel speedup, and the report
+	// says so honestly instead of hiding the curve.
 	CPUsAvailable int    `json:"cpus_available"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
 	GoVersion     string `json:"go_version"`
@@ -110,7 +112,7 @@ type Report struct {
 	MaxIters    int         `json:"max_iters"`
 	Results     []ArmResult `json:"results"`
 	// Ratios reports, per circuit/window pair, the CPU-time ratio of
-	// every regioned arm against its regions=1 workers=1 baseline —
+	// every other arm against its regions=1 workers=1 baseline —
 	// the scaling curve the harness exists to measure.
 	Ratios map[string]float64 `json:"cpu_ratio_vs_sequential"`
 	// DeterminismChecked records that all reps of every arm, and all
@@ -259,7 +261,9 @@ func RunGrid(cfg GridConfig) (*Report, error) {
 func runRep(st *armState, lib *library.Library, cfg GridConfig, profile bool) error {
 	n, _ := st.base.Clone()
 	o := opt.Options{MaxIters: cfg.MaxIters, Workers: st.arm.Workers, Window: st.arm.Window}
-	rs := opt.RegionSchedule{Regions: st.arm.Regions}
+	if st.arm.Regions > 1 {
+		o.Rounds = opt.DefaultRounds
+	}
 
 	var cpuProf *os.File
 	if profile {
@@ -280,7 +284,7 @@ func runRep(st *armState, lib *library.Library, cfg GridConfig, profile bool) er
 	var msBefore, msAfter runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
 	wall0, cpu0 := time.Now(), processCPUTime()
-	res := opt.OptimizeRegioned(context.Background(), n, lib, opt.GsgGS, o, rs)
+	res := opt.Optimize(context.Background(), n, lib, opt.GsgGS, o)
 	wall, cpu := time.Since(wall0), processCPUTime()-cpu0
 	runtime.ReadMemStats(&msAfter)
 

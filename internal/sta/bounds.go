@@ -1,30 +1,21 @@
-// Boundary conditions: pinned timing at the edges of a partial network.
+// Boundary conditions: pinned timing at the edges of a network.
 //
-// A region-extracted subnetwork (internal/region) is a standalone network
-// whose primary inputs stand for exterior driver gates and whose primary
-// outputs still feed exterior sinks in the full design. Analyzing such a
-// subnetwork with the default conventions — inputs arrive at 0, every
-// output is required at the clock — would score its gates against the
-// wrong problem. Bounds pins the three quantities the exterior imposes:
+// The default conventions — inputs arrive at 0, every output is required
+// at the clock — do not hold for a block whose inputs are driven late or
+// whose outputs are constrained by logic outside it. Bounds pins the two
+// quantities such an exterior imposes:
 //
-//   - PIArrival: the out-pin arrival of each boundary input, frozen from
-//     the last global analysis of the full network;
-//   - PORequired: the required time the exterior (primary-output
-//     constraint plus exterior sink arcs) imposes on each boundary output;
-//   - POLoad: the extra capacitance a boundary output drives in the full
-//     design (exterior sink pins and wire) that its subnetwork net cannot
-//     see. It may be negative when the gate is not a true primary output:
-//     subnetworks mark every boundary output as PO, and the correction
-//     cancels the pad load the analyzer would otherwise invent.
+//   - PIArrival: the out-pin arrival of selected primary inputs;
+//   - PORequired: the required time of selected primary outputs.
 //
-// A nil *Bounds means "whole network, default conventions" everywhere; all
-// accessors are nil-safe.
+// ECO sessions set both from their pin_arrival and pin_required edits.
+// A nil *Bounds means "default conventions" everywhere; all accessors are
+// nil-safe.
 package sta
 
 import "repro/internal/network"
 
-// Bounds pins boundary timing conditions for the analysis of a partial
-// network. The zero value (or a nil pointer) imposes nothing.
+// Bounds pins boundary timing conditions for the analysis of a network. The zero value (or a nil pointer) imposes nothing.
 type Bounds struct {
 	// PIArrival pins the out-pin arrival of primary inputs. Inputs not in
 	// the map arrive at 0, as usual.
@@ -34,35 +25,24 @@ type Bounds struct {
 	// analyzer still tightens a pinned output's required time through its
 	// interior sink arcs, exactly as it does for a clock-pinned output.
 	PORequired map[*network.Gate]Edge
-	// POLoad adds extra capacitance (pF, may be negative) to the total
-	// load of the listed gates, on top of the net and the PO pad.
-	POLoad map[*network.Gate]float64
 
-	// loadDense and reqDense are ID-indexed views of POLoad and
-	// PORequired, built by densify the first time an analysis attaches.
-	// extraLoadOf sits on the per-net hot path of bounded analyses and
-	// requiredOf on the per-output lateness rescan, and a dense-ID read
-	// beats hashing a gate pointer there. Bounds are frozen once an
-	// analysis starts, so the views never go stale; gates created after
-	// densify (IDs past the end) correctly read the defaults. reqSet
-	// marks which reqDense entries are pinned.
-	loadDense []float64
-	reqDense  []Edge
-	reqSet    []bool
+	// reqDense is an ID-indexed view of PORequired, built by densify the
+	// first time an analysis attaches. requiredOf sits on the per-output
+	// lateness rescan, and a dense-ID read beats hashing a gate pointer
+	// there. Bounds are frozen once an analysis starts (or re-densified
+	// after Invalidate), so the view never goes stale; gates created
+	// after densify (IDs past the end) correctly read the default.
+	// reqSet marks which reqDense entries are pinned.
+	reqDense []Edge
+	reqSet   []bool
 }
 
-// densify builds the dense views for gate IDs below bound. Calling it
+// densify builds the dense view for gate IDs below bound. Calling it
 // again with a larger bound rebuilds; with the same or smaller, it is a
 // no-op.
 func (b *Bounds) densify(bound int) {
-	if b == nil || len(b.loadDense) >= bound {
+	if b == nil || len(b.reqSet) >= bound {
 		return
-	}
-	b.loadDense = make([]float64, bound)
-	for g, l := range b.POLoad {
-		if g.ID() < bound {
-			b.loadDense[g.ID()] = l
-		}
 	}
 	b.reqDense = make([]Edge, bound)
 	b.reqSet = make([]bool, bound)
@@ -74,7 +54,7 @@ func (b *Bounds) densify(bound int) {
 	}
 }
 
-// Invalidate discards the dense views after the maps were mutated, so
+// Invalidate discards the dense view after the maps were mutated, so
 // subsequent reads see the new pins. Bounds are normally frozen for the
 // life of an analysis; the one sanctioned mutable use is an ECO session
 // pinning boundary timing between incremental updates (rapids.Session),
@@ -84,7 +64,6 @@ func (b *Bounds) Invalidate() {
 	if b == nil {
 		return
 	}
-	b.loadDense = nil
 	b.reqDense = nil
 	b.reqSet = nil
 }
@@ -112,20 +91,4 @@ func (b *Bounds) requiredOf(g *network.Gate, clock float64) Edge {
 		}
 	}
 	return Edge{clock, clock}
-}
-
-// extraLoadOf returns the exterior load correction for g in pF.
-func (b *Bounds) extraLoadOf(g *network.Gate) float64 {
-	if b == nil {
-		return 0
-	}
-	if b.loadDense != nil {
-		// POLoad is frozen once densified: an out-of-range ID is a gate
-		// created after the freeze, which never carries a correction.
-		if id := g.ID(); id < len(b.loadDense) {
-			return b.loadDense[id]
-		}
-		return 0
-	}
-	return b.POLoad[g]
 }

@@ -39,9 +39,9 @@
 //
 // All bookkeeping — the dirty set, logic levels, the level-ordered
 // propagation queues, and the PO set — is held in dense gate-ID-indexed
-// arrays with epoch stamps (no per-event map operations): the PR 6 profile
-// showed the per-move notification cost and the per-update map churn were
-// a measurable slice of the region scheduler's overhead.
+// arrays with epoch stamps (no per-event map operations): profiles of the
+// optimizer showed the per-move notification cost and the per-update map
+// churn as a measurable slice of its run time.
 package sta
 
 import (
@@ -81,8 +81,8 @@ type IncStats struct {
 }
 
 // Add folds another timer's counters into s (MaxDirty takes the max);
-// the region scheduler aggregates per-region timers with it. Every
-// IncStats field must be folded here.
+// the optimizer's restart rounds aggregate per-round timers with it.
+// Every IncStats field must be folded here.
 func (s *IncStats) Add(o IncStats) {
 	s.FullAnalyses += o.FullAnalyses
 	s.IncrementalUpdates += o.IncrementalUpdates
@@ -209,9 +209,10 @@ func NewIncremental(n *network.Network, lib *library.Library, clock float64) *In
 }
 
 // incPool recycles whole Incremental timers — their Timing arrays, level
-// arrays, stamped sets, and propagation queues. The region scheduler
-// builds one timer per region per round; recycling makes the steady-state
-// cost of a new timer one full analysis, with no array warm-up.
+// arrays, stamped sets, and propagation queues. Every optimizer run (one
+// per restart round) and every ECO session builds a timer; recycling makes
+// the steady-state cost of a new timer one full analysis, with no array
+// warm-up.
 var incPool = sync.Pool{New: func() interface{} { return new(Incremental) }}
 
 // NewIncrementalBounded is NewIncremental under pinned boundary conditions
@@ -516,7 +517,7 @@ func (it *Incremental) propagateArrivals() {
 		if isDirty {
 			it.dirty.remove(g)
 			w := it.t.setNet(g, g.Fanouts())
-			it.t.load[g.ID()] = w.load + it.t.padLoad(g)
+			it.t.load[g.ID()] = w.load + padLoad(g)
 		}
 
 		arr := it.bounds.arrivalOf(g)

@@ -248,7 +248,7 @@ func (sc *Scratch) Net(tm *Timing, d *network.Gate, sinks []*network.Gate) *NetM
 	sc.netIdx[id] = int32(sc.netsUsed)
 	sc.netsUsed++
 	tm.computeNetInto(sc, m, d, sinks)
-	m.Load += tm.padLoad(d)
+	m.Load += padLoad(d)
 	return m
 }
 

@@ -172,10 +172,9 @@ func Analyze(n *network.Network, lib *library.Library, clock float64) *Timing {
 }
 
 // AnalyzeBounded is Analyze under pinned boundary conditions: primary
-// inputs listed in b arrive at their pinned times instead of 0, primary
-// outputs listed in b are required at their pinned times instead of the
-// clock, and gates listed in b.POLoad drive the given extra capacitance.
-// A nil b is exactly Analyze.
+// inputs listed in b arrive at their pinned times instead of 0, and
+// primary outputs listed in b are required at their pinned times instead
+// of the clock. A nil b is exactly Analyze.
 func AnalyzeBounded(n *network.Network, lib *library.Library, clock float64, b *Bounds) *Timing {
 	t := &Timing{n: n, lib: lib, bounds: b}
 	t.analyzeInto(clock, nil)
@@ -183,11 +182,10 @@ func AnalyzeBounded(n *network.Network, lib *library.Library, clock float64, b *
 }
 
 // timingPool recycles the dense per-gate arrays of released analyses. The
-// region scheduler runs many short-lived analyses per round (one global
-// reconcile plus one seed per region); without recycling, each pays a
-// fresh allocation of four network-sized arrays plus the per-net sink
-// slices, which PR 6's memory profile showed as the largest allocator in
-// the regioned flow.
+// optimizer runs short-lived analyses (the final ground truth of every
+// run, one more per restart round) and hands incremental timers their
+// Timing from here; without recycling, each pays a fresh allocation of
+// four network-sized arrays plus the per-net sink slices.
 var timingPool = sync.Pool{New: func() interface{} { return &Timing{} }}
 
 // AnalyzeReleased is AnalyzeBounded on a pooled Timing: the returned
@@ -237,7 +235,7 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 	// rebuild them.
 	for _, g := range order {
 		w := t.setNet(g, g.Fanouts())
-		t.load[g.ID()] = w.load + t.padLoad(g)
+		t.load[g.ID()] = w.load + padLoad(g)
 	}
 
 	// Pass 2: arrivals.
@@ -294,13 +292,12 @@ func (t *Timing) analyzeInto(clock float64, order []*network.Gate) {
 }
 
 // padLoad returns the non-net load of g: the PO pad when g is a primary
-// output, plus any exterior-load correction pinned in the bounds.
-func (t *Timing) padLoad(g *network.Gate) float64 {
-	l := t.bounds.extraLoadOf(g)
+// output.
+func padLoad(g *network.Gate) float64 {
 	if g.PO {
-		l += POLoadPF
+		return POLoadPF
 	}
-	return l
+	return 0
 }
 
 // poLatenessOne is the single-output lateness term: the worse edge of
@@ -438,14 +435,6 @@ func (t *Timing) Network() *network.Network { return t.n }
 // Bounds returns the pinned boundary conditions of this analysis, or nil
 // for a whole-network analysis.
 func (t *Timing) Bounds() *Bounds { return t.bounds }
-
-// SinkRequired returns the required time sink s imposes on a fanin driver
-// reached through wire delay w — the arc equation of the backward pass.
-// Region extraction uses it to fold a boundary gate's exterior sink arcs
-// into one pinned required time.
-func (t *Timing) SinkRequired(s *network.Gate, w float64) Edge {
-	return requiredCandidate(t, s, w)
-}
 
 // Arrival returns the out-pin arrival time of g.
 func (t *Timing) Arrival(g *network.Gate) Edge {

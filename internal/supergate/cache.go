@@ -62,8 +62,8 @@ type CacheStats struct {
 	Reextracted int
 }
 
-// Add folds another cache's counters into s; the region scheduler
-// aggregates per-region caches with it. Every CacheStats field must be
+// Add folds another cache's counters into s; the optimizer's restart
+// rounds aggregate per-round caches with it. Every CacheStats field must be
 // folded here.
 func (s *CacheStats) Add(o CacheStats) {
 	s.FullExtractions += o.FullExtractions

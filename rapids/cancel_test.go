@@ -140,9 +140,9 @@ func TestOptimizeWithDeadlineOption(t *testing.T) {
 }
 
 // TestCancelledRunsLeakNoGoroutines runs cancelled whole-network and
-// region-partitioned optimizations and requires the goroutine count to
-// settle back to the baseline: neither the scoring pool nor the region
-// scheduler may outlive Optimize.
+// restart-round optimizations and requires the goroutine count to
+// settle back to the baseline: no scoring worker of any round may
+// outlive Optimize.
 func TestCancelledRunsLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, regions := range []int{0, 3} {
@@ -190,8 +190,7 @@ func directFlow(t *testing.T, name string, iters, workers, regions int) (*networ
 	sizing.SeedForLoad(n, lib, 0)
 	o := opt.Options{MaxIters: iters, Workers: workers}
 	if regions > 1 {
-		return n, opt.OptimizeRegioned(context.Background(), n, lib, opt.GsgGS, o,
-			opt.RegionSchedule{Regions: regions})
+		o.Rounds = opt.DefaultRounds
 	}
 	return n, opt.Optimize(context.Background(), n, lib, opt.GsgGS, o)
 }

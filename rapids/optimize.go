@@ -149,8 +149,7 @@ func (r *Result) AreaDeltaPct() float64 {
 // stops after the in-flight phase and returns the best-so-far network —
 // functionally equivalent to the input and never slower — with
 // Result.Interrupted set and an error wrapping ctx.Err(). No goroutine
-// of the scoring pool or region scheduler outlives the call. A nil ctx
-// never cancels.
+// of the scoring pool outlives the call. A nil ctx never cancels.
 //
 // With verification enabled (the default; see WithVerification), the
 // optimized network is checked against a pre-optimization snapshot by
@@ -202,6 +201,9 @@ func (c *Circuit) Optimize(ctx context.Context, opts ...Option) (*Result, error)
 		Clock: cfg.clock, MaxIters: cfg.iters,
 		Workers: cfg.workers, Window: cfg.window,
 	}
+	if cfg.regions > 1 {
+		oo.Rounds = opt.DefaultRounds
+	}
 	if cfg.progress != nil {
 		oo.Progress = func(pr opt.PhaseReport) {
 			// The optimizer's "start" report (right after its seeding
@@ -220,13 +222,7 @@ func (c *Circuit) Optimize(ctx context.Context, opts ...Option) (*Result, error)
 	}
 
 	start := time.Now()
-	var ores opt.Result
-	if cfg.regions > 1 {
-		ores = opt.OptimizeRegioned(ctx, c.net, c.lib, opt.Strategy(cfg.strategy), oo,
-			opt.RegionSchedule{Regions: cfg.regions})
-	} else {
-		ores = opt.Optimize(ctx, c.net, c.lib, opt.Strategy(cfg.strategy), oo)
-	}
+	ores := opt.Optimize(ctx, c.net, c.lib, opt.Strategy(cfg.strategy), oo)
 	res := &Result{
 		Strategy:           cfg.strategy,
 		InitialDelayNS:     ores.InitialDelay,

@@ -95,10 +95,13 @@ func WithWindow(window float64) Option {
 	return func(c *optConfig) { c.window = window }
 }
 
-// WithRegions runs the optimizer region-partitioned: up to n timing
-// regions are extracted and optimized concurrently per round, with a
-// global re-analysis reconciling rounds. n <= 1 (the default) optimizes
-// the whole network in one piece.
+// WithRegions runs the optimizer as restart rounds when n > 1: up to
+// three rounds, each a fresh optimizer run on the whole network (one
+// iteration per round when no window is set) followed by a sweep and a
+// from-scratch timing analysis, stopping after a round that commits
+// nothing or does not improve the delay. Every n > 1 selects the same
+// rounds; the name and its n are kept for compatibility. n <= 1 (the
+// default) runs the optimizer once.
 func WithRegions(n int) Option {
 	return func(c *optConfig) { c.regions = n }
 }

@@ -13,10 +13,17 @@ import (
 	"repro/rapids/server/store"
 )
 
+// cacheKeyVersion is hashed into every cache key. Bump it whenever a
+// change alters the Result of an existing spec, so that a result store
+// written by older code misses instead of serving a stale Result
+// (DESIGN.md §5). Version 2: WithRegions runs whole-network restart
+// rounds instead of the region partitioner.
+const cacheKeyVersion = 2
+
 // cacheKey digests a request into the content hash the result cache is
-// indexed by: the circuit source (benchmark name, or netlist text plus
-// parsed format), the default-filled placement spec, and the
-// *canonical* option spec (NewSpec of the expanded options, so
+// indexed by: the key version, the circuit source (benchmark name, or
+// netlist text plus parsed format), the default-filled placement spec,
+// and the *canonical* option spec (NewSpec of the expanded options, so
 // differently-spelled defaults collapse). Workers is excluded: results
 // are bit-identical at every worker count (DESIGN.md §3a), so scoring
 // parallelism must not fragment the cache. Everything else — clock,
@@ -25,26 +32,28 @@ import (
 func cacheKey(req JobRequest, format rapids.Format) string {
 	spec := rapids.NewSpec(req.Options.Options()...)
 	spec.Workers = 0
+	// Like Workers, a deadline never changes a *completed* Result —
+	// runs it interrupts are never cached — so it must not fragment
+	// the cache either.
+	spec.TimeoutMS = 0
 	var place PlaceSpec
 	if req.Place != nil {
 		place = *req.Place
 	}
 	canon := struct {
+		Version  int         `json:"v"`
 		Generate string      `json:"generate,omitempty"`
 		Netlist  string      `json:"netlist,omitempty"`
 		Format   string      `json:"format,omitempty"`
 		Place    PlaceSpec   `json:"place"`
 		Options  rapids.Spec `json:"options"`
 	}{
+		Version:  cacheKeyVersion,
 		Generate: req.Generate,
 		Netlist:  req.Netlist,
 		Place:    place.withDefaults(),
 		Options:  spec,
 	}
-	// Like Workers, a deadline never changes a *completed* Result —
-	// runs it interrupts are never cached — so it must not fragment
-	// the cache either.
-	spec.TimeoutMS = 0
 	if req.Netlist != "" {
 		// Auto parses as BLIF for inline payloads (no file name to
 		// dispatch on), so the two spellings share one key.
