@@ -343,6 +343,43 @@ func BenchmarkIncrementalSTA(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkIncrementalSTABatch measures one Update absorbing a committed
+// batch the size the optimizer commits on s38417 at -window 0.005 (about
+// 350 dirty gates per Update): each op toggles a fixed pool of gates
+// between two sizes, which dirties each gate and its fanin drivers, then
+// re-times once. At this batch size the level queues carry a large share
+// of the cost.
+func BenchmarkIncrementalSTABatch(b *testing.B) {
+	const pool = 112
+	n, lib, _ := staSwapSetup(b)
+	var gates []*network.Gate
+	var sizes [2][]int
+	rng := rand.New(rand.NewSource(1))
+	all := n.GateSlice()
+	for _, k := range rng.Perm(len(all)) {
+		if g := all[k]; !g.IsInput() && len(gates) < pool {
+			gates = append(gates, g)
+			sizes[0] = append(sizes[0], (g.SizeIdx+1)%library.NumSizes)
+			sizes[1] = append(sizes[1], g.SizeIdx)
+		}
+	}
+	inc := sta.NewIncremental(n, lib, 0)
+	defer inc.Close()
+	var sink float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, g := range gates {
+			n.SetSize(g, sizes[i%2][k])
+		}
+		sink = inc.Update().CriticalDelay
+	}
+	b.StopTimer()
+	st := inc.Stats()
+	b.ReportMetric(st.AvgDirty(), "dirty/op")
+	b.ReportMetric(float64(st.ArrivalRecomputes+st.RequiredRecomputes)/float64(max(1, st.IncrementalUpdates)), "recomputes/op")
+	_ = sink
+}
+
 // --- PR 2: the move-evaluation engine ---
 
 // BenchmarkMoveGen measures one phase of candidate generation + scoring

@@ -73,3 +73,29 @@ func TestRemoveGateForeignPanics(t *testing.T) {
 	}()
 	n1.RemoveGate(stray)
 }
+
+// TestLive checks the O(1) liveness test: true for a gate of the network,
+// false once it is removed, false for a same-ID gate of another network,
+// and false when a gate with the removed gate's name is created again.
+func TestLive(t *testing.T) {
+	n1 := New("n1")
+	a1 := n1.AddInput("a")
+	g1 := n1.AddGate("g1", logic.Inv, a1)
+	n2 := New("n2")
+	a2 := n2.AddInput("a")
+	g2 := n2.AddGate("g1", logic.Inv, a2)
+	if !n1.Live(a1) || !n1.Live(g1) {
+		t.Fatal("live gates reported dead")
+	}
+	if n1.Live(a2) || n1.Live(g2) {
+		t.Fatal("another network's gates reported live")
+	}
+	n1.RemoveGate(g1)
+	if n1.Live(g1) {
+		t.Fatal("removed gate reported live")
+	}
+	again := n1.AddGate("g1", logic.Inv, a1)
+	if n1.Live(g1) || !n1.Live(again) {
+		t.Fatal("liveness followed the name instead of the gate")
+	}
+}

@@ -232,6 +232,13 @@ func (n *Network) Outputs() []*Gate {
 	return out
 }
 
+// Live reports whether g is a live gate of this network: created here and
+// not removed since. It is an O(1) slot check, since a live gate always
+// sits at its ID's slot.
+func (n *Network) Live(g *Gate) bool {
+	return g.id < len(n.gates) && n.gates[g.id] == g
+}
+
 // FindGate returns the gate with the given name, or nil.
 func (n *Network) FindGate(name string) *Gate { return n.byName[name] }
 

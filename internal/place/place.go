@@ -86,7 +86,6 @@ func Place(n *network.Network, lib *library.Library, opt Options) Result {
 	}
 	slots := make([]slot, numCells)
 	assign := make([]*network.Gate, numCells) // slot -> gate
-	slotOf := make(map[*network.Gate]int, numCells)
 	row, x := 0, 0.0
 	dieWidth := 0.0
 	for i, g := range order {
@@ -97,7 +96,6 @@ func Place(n *network.Network, lib *library.Library, opt Options) Result {
 		}
 		slots[i] = slot{x + w/2, (float64(row) + 0.5) * library.RowHeight}
 		assign[i] = g
-		slotOf[g] = i
 		x += w
 		if x > dieWidth {
 			dieWidth = x
@@ -159,7 +157,6 @@ func Place(n *network.Network, lib *library.Library, opt Options) Result {
 		res.MovesTried++
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			assign[i], assign[j] = gj, gi
-			slotOf[gi], slotOf[gj] = j, i
 			res.MovesTaken++
 		} else {
 			gi.X, gi.Y = slots[i].x, slots[i].y

@@ -165,12 +165,18 @@ func EvalResizeScratch(tm *sta.Timing, g *network.Gate, newSize int, obj Objecti
 	if g.IsInput() || newSize == g.SizeIdx {
 		return 0
 	}
+	before := sizedScore(tm, g, g.SizeIdx, obj, sc)
+	return sizedScore(tm, g, newSize, obj, sc) - before
+}
+
+// sizedScore opens a fresh evaluation with g at size (an override unless
+// it is the committed size) and returns the neighborhood objective.
+func sizedScore(tm *sta.Timing, g *network.Gate, size int, obj Objective, sc *sta.Scratch) float64 {
 	sc.Begin(tm)
-	before := Score(obj, localSlacks(tm, g, sc), tm.Clock)
-	sc.Begin(tm)
-	sc.OverrideSize(g, newSize)
-	after := Score(obj, localSlacks(tm, g, sc), tm.Clock)
-	return after - before
+	if size != g.SizeIdx {
+		sc.OverrideSize(g, size)
+	}
+	return Score(obj, localSlacks(tm, g, sc), tm.Clock)
 }
 
 // BestResize returns the best alternative size for g and its gain.
@@ -183,14 +189,20 @@ func BestResize(tm *sta.Timing, g *network.Gate, obj Objective) (int, float64) {
 }
 
 // BestResizeScratch is BestResize evaluating through an explicit arena —
-// the scoring engine's per-worker entry point.
+// the scoring engine's per-worker entry point. The current-size score is
+// the same pure computation for every alternative, so it is evaluated
+// once per site: each gain is bit-identical to EvalResizeScratch's.
 func BestResizeScratch(tm *sta.Timing, g *network.Gate, obj Objective, sc *sta.Scratch) (int, float64) {
 	bestSize, bestGain := g.SizeIdx, 0.0
+	if g.IsInput() {
+		return bestSize, bestGain
+	}
+	before := sizedScore(tm, g, g.SizeIdx, obj, sc)
 	for s := 0; s < library.NumSizes; s++ {
 		if s == g.SizeIdx {
 			continue
 		}
-		if gain := EvalResizeScratch(tm, g, s, obj, sc); gain > bestGain+eps {
+		if gain := sizedScore(tm, g, s, obj, sc) - before; gain > bestGain+eps {
 			bestGain = gain
 			bestSize = s
 		}

@@ -73,6 +73,50 @@ func TestBestResize(t *testing.T) {
 	}
 }
 
+// TestBestResizeMatchesPerSizeEval checks that scoring the current-size
+// baseline once per site changes nothing: on every gate of two placed
+// benchmarks, under both objectives, BestResizeScratch returns the size
+// and the exact gain bits that the maximum over per-size
+// EvalResizeScratch calls selects.
+func TestBestResizeMatchesPerSizeEval(t *testing.T) {
+	l := lib()
+	for _, name := range []string{"c432", "c3540"} {
+		n, err := gen.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		place.Place(n, l, place.Options{Seed: 1, MovesPerCell: 5})
+		SeedForLoad(n, l, 0)
+		tm := sta.Analyze(n, l, 0)
+		sc := sta.NewScratch()
+		sites := 0
+		for _, obj := range []Objective{MinSlack, SumSlack} {
+			n.Gates(func(g *network.Gate) {
+				wantSize, wantGain := g.SizeIdx, 0.0
+				for s := 0; s < library.NumSizes; s++ {
+					if s == g.SizeIdx {
+						continue
+					}
+					if gain := EvalResizeScratch(tm, g, s, obj, sc); gain > wantGain+eps {
+						wantSize, wantGain = s, gain
+					}
+				}
+				size, gain := BestResizeScratch(tm, g, obj, sc)
+				if size != wantSize || math.Float64bits(gain) != math.Float64bits(wantGain) {
+					t.Fatalf("%s %v obj %d: BestResizeScratch = (%d, %v), per-size maximum (%d, %v)",
+						name, g, obj, size, gain, wantSize, wantGain)
+				}
+				if gain > eps {
+					sites++
+				}
+			})
+		}
+		if sites == 0 {
+			t.Fatalf("%s: no gate had a positive resize gain; the test compared only zeros", name)
+		}
+	}
+}
+
 func TestOptimizeImprovesFanoutHeavy(t *testing.T) {
 	n := fanoutHeavy()
 	st := Optimize(context.Background(), n, lib(), Options{})

@@ -37,16 +37,17 @@
 // back to a seeded full Analyze — at that size the from-scratch three-pass
 // walk is cheaper than chasing the frontier.
 //
-// All bookkeeping — the dirty set, logic levels, the level-ordered
-// propagation queues, and the PO set — is held in dense gate-ID-indexed
-// arrays with epoch stamps (no per-event map operations): profiles of the
-// optimizer showed the per-move notification cost and the per-update map
-// churn as a measurable slice of its run time.
+// All bookkeeping — the dirty set, logic levels, and the PO set — is held
+// in dense gate-ID-indexed arrays with epoch stamps (no per-event map
+// operations): profiles of the optimizer showed the per-move notification
+// cost and the per-update map churn as a measurable slice of its run time.
+// The two level-ordered propagation queues are typed min-heaps of packed
+// (level, ID) keys over a dense gate-by-ID slice (see levelQueue).
 package sta
 
 import (
-	"container/heap"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/library"
@@ -229,8 +230,7 @@ func NewIncrementalBounded(n *network.Network, lib *library.Library, clock float
 		it.t = timingPool.Get().(*Timing)
 	}
 	it.t.n, it.t.lib, it.t.bounds = n, lib, b
-	it.fwdQ.init(it, false)
-	it.bwdQ.init(it, true)
+	it.bwdQ.desc = true
 	it.seed(clock)
 	n.Observe(it)
 	return it
@@ -252,8 +252,8 @@ func (it *Incremental) seed(clock float64) {
 	// regrow each stamped set by appending.
 	it.backSeeds.grow(bound)
 	it.forced.grow(bound)
-	it.fwdQ.h.qset.grow(bound)
-	it.bwdQ.h.qset.grow(bound)
+	it.fwdQ.grow(bound)
+	it.bwdQ.grow(bound)
 	it.touched.reset()
 	it.touched.grow(bound)
 	it.lastFull = true
@@ -291,7 +291,12 @@ func (it *Incremental) levelOf(g *network.Gate) int32 {
 	return 0
 }
 
+// setLevel repairs a gate's logic level. The forward queue keys gates by
+// the level they had when pushed, so a queued gate's level must not move.
 func (it *Incremental) setLevel(g *network.Gate, lv int32) {
+	if it.fwdQ.queued(g) {
+		panic("sta: level of a queued gate changed: " + g.String())
+	}
 	id := g.ID()
 	if id >= len(it.levels) {
 		it.levels = append(it.levels, make([]int32, id+1-len(it.levels))...)
@@ -329,6 +334,8 @@ func (it *Incremental) Release() {
 	it.n, it.lib, it.bounds = nil, nil, nil
 	it.posList = it.posList[:0]
 	it.touched.reset()
+	it.fwdQ.reset()
+	it.bwdQ.reset()
 	incPool.Put(it)
 }
 
@@ -497,7 +504,7 @@ func (it *Incremental) propagateArrivals() {
 	q.reset()
 	for _, g := range it.dirty.list {
 		if it.dirty.has(g) {
-			q.push(g)
+			q.push(g, it.levelOf(g))
 		}
 	}
 	var pinArr []Edge
@@ -534,7 +541,7 @@ func (it *Incremental) propagateArrivals() {
 		it.t.arrival[g.ID()] = arr
 		if isDirty || levelChanged || old != arr {
 			for _, s := range g.Fanouts() {
-				q.push(s)
+				q.push(s, it.levelOf(s))
 			}
 		}
 	}
@@ -549,7 +556,7 @@ func (it *Incremental) propagateRequired() {
 	q := &it.bwdQ
 	q.reset()
 	for _, g := range it.backSeeds.list {
-		q.push(g)
+		q.push(g, it.levelOf(g))
 	}
 	for q.Len() > 0 {
 		g := q.pop()
@@ -572,7 +579,7 @@ func (it *Incremental) propagateRequired() {
 		it.t.required[g.ID()] = req
 		if it.forced.has(g) || old != req {
 			for _, f := range g.Fanins() {
-				q.push(f)
+				q.push(f, it.levelOf(f))
 			}
 		}
 	}
@@ -600,70 +607,110 @@ func requiredCandidate(t *Timing, s *network.Gate, w float64) Edge {
 	}
 }
 
-// levelQueue is a deduplicating priority queue of gates ordered by logic
-// level — ascending for the forward sweep, descending for the backward
-// sweep. Levels are read through the owning timer at comparison time, so
-// repairs made mid-sweep take effect on the next push. The dedup set is an
-// epoch-stamped dense array; the queue persists across updates so its
-// backing storage amortizes.
+// levelQueue is a deduplicating min-priority queue of gates ordered by
+// (logic level, dense gate ID): ascending level for the forward sweep,
+// descending level for the backward sweep, ascending ID within a level in
+// both. Ties break on ID so pop order — and with it the exact propagation
+// work — is deterministic no matter what order the dirty set seeded the
+// queue in.
+//
+// Each entry is one packed uint64 key, level<<32 | id forward and
+// ^level<<32 | id backward, so ordering is a single integer compare and
+// keys are unique. byID resolves a key's low half back to its gate; a
+// non-nil slot also marks the gate as queued, which deduplicates pushes
+// and lets a popped gate be pushed again. Storage persists across updates
+// and a drained queue holds no gate pointers.
+//
+// The level is read once, at push time. That is exact because a queued
+// gate's level never changes while it is queued: the forward sweep repairs
+// only the gate it just popped (setLevel checks this), and the backward
+// sweep repairs none.
 type levelQueue struct {
-	h levelHeap
+	keys []uint64 // binary min-heap
+	byID []*network.Gate
+	desc bool
 }
 
-type levelHeap struct {
-	gates []*network.Gate
-	it    *Incremental
-	desc  bool
-	qset  gateSet
+// grow pre-sizes the queue for gate IDs below bound; the heap can never
+// hold more entries than there are IDs.
+func (q *levelQueue) grow(bound int) {
+	if bound > len(q.byID) {
+		q.byID = append(q.byID, make([]*network.Gate, bound-len(q.byID))...)
+	}
+	if bound > cap(q.keys) {
+		q.keys = slices.Grow(q.keys, bound-len(q.keys))
+	}
 }
 
-func (q *levelQueue) init(it *Incremental, desc bool) {
-	q.h.it = it
-	q.h.desc = desc
-}
-
+// reset empties the queue, dropping the gate pointers of any entries left
+// behind (a sweep always drains its queue, so there are normally none).
 func (q *levelQueue) reset() {
-	q.h.gates = q.h.gates[:0]
-	q.h.qset.reset()
+	for _, k := range q.keys {
+		q.byID[uint32(k)] = nil
+	}
+	q.keys = q.keys[:0]
 }
 
-func (q *levelQueue) Len() int { return len(q.h.gates) }
+func (q *levelQueue) Len() int { return len(q.keys) }
 
-func (q *levelQueue) push(g *network.Gate) {
-	if q.h.qset.has(g) {
+func (q *levelQueue) queued(g *network.Gate) bool {
+	id := g.ID()
+	return id < len(q.byID) && q.byID[id] != nil
+}
+
+// push enqueues g at logic level lv unless it is already queued.
+func (q *levelQueue) push(g *network.Gate, lv int32) {
+	id := g.ID()
+	if id >= len(q.byID) {
+		q.grow(id + 1)
+	}
+	if q.byID[id] != nil {
 		return
 	}
-	q.h.qset.add(g)
-	heap.Push(&q.h, g)
-}
-
-func (q *levelQueue) pop() *network.Gate {
-	g := heap.Pop(&q.h).(*network.Gate)
-	q.h.qset.remove(g)
-	return g
-}
-
-func (h *levelHeap) Len() int { return len(h.gates) }
-func (h *levelHeap) Less(i, j int) bool {
-	li, lj := h.it.levelOf(h.gates[i]), h.it.levelOf(h.gates[j])
-	if li != lj {
-		if h.desc {
-			return li > lj
-		}
-		return li < lj
+	q.byID[id] = g
+	hi := uint32(lv)
+	if q.desc {
+		hi = ^hi
 	}
-	// Ties break on dense gate ID so pop order — and with it the exact
-	// propagation work — is deterministic no matter what order the dirty
-	// set seeded the queue in.
-	return h.gates[i].ID() < h.gates[j].ID()
+	k := uint64(hi)<<32 | uint64(uint32(id))
+	i := len(q.keys)
+	q.keys = append(q.keys, k)
+	for i > 0 {
+		p := (i - 1) / 2
+		if q.keys[p] < k {
+			break
+		}
+		q.keys[i] = q.keys[p]
+		i = p
+	}
+	q.keys[i] = k
 }
-func (h *levelHeap) Swap(i, j int) { h.gates[i], h.gates[j] = h.gates[j], h.gates[i] }
-func (h *levelHeap) Push(x interface{}) {
-	h.gates = append(h.gates, x.(*network.Gate))
-}
-func (h *levelHeap) Pop() interface{} {
-	old := h.gates
-	g := old[len(old)-1]
-	h.gates = old[:len(old)-1]
+
+// pop removes and returns the gate with the smallest key.
+func (q *levelQueue) pop() *network.Gate {
+	top := q.keys[0]
+	n := len(q.keys) - 1
+	last := q.keys[n]
+	q.keys = q.keys[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q.keys[c+1] < q.keys[c] {
+				c++
+			}
+			if last < q.keys[c] {
+				break
+			}
+			q.keys[i] = q.keys[c]
+			i = c
+		}
+		q.keys[i] = last
+	}
+	g := q.byID[uint32(top)]
+	q.byID[uint32(top)] = nil
 	return g
 }

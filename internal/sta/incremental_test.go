@@ -268,3 +268,49 @@ func TestIncrementalRemovedGates(t *testing.T) {
 	n.Sweep()
 	requireMatch(t, "after sweep", n, lib, clock, inc.Update())
 }
+
+// TestIncrementalStatsPinned pins the timer's work counters on a fixed
+// seeded edit sequence. The counters depend on the exact order the level
+// queues pop gates in — (level, ID), ascending for arrivals, descending
+// level for required times — and on where reconvergence damping stops
+// each sweep, so any change to either shows up here even when the
+// resulting timing still matches the oracle.
+func TestIncrementalStatsPinned(t *testing.T) {
+	want := map[string]sta.IncStats{
+		"c432": {FullAnalyses: 1, IncrementalUpdates: 28, DirtyGates: 196, MaxDirty: 23,
+			ArrivalRecomputes: 1343, RequiredRecomputes: 955},
+		"c3540": {FullAnalyses: 1, IncrementalUpdates: 29, DirtyGates: 224, MaxDirty: 22,
+			ArrivalRecomputes: 7029, RequiredRecomputes: 7779},
+	}
+	for _, name := range []string{"c432", "c3540"} {
+		t.Run(name, func(t *testing.T) {
+			lib := library.Default035()
+			n, err := gen.Generate(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			place.Place(n, lib, place.Options{Seed: 7, MovesPerCell: 5})
+			sizing.SeedForLoad(n, lib, 0)
+			inc := sta.NewIncremental(n, lib, 0)
+			defer inc.Close()
+			inc.FullFraction = 2
+			m := &mutator{rng: rand.New(rand.NewSource(42)), n: n}
+			for i := 0; i < 30; i++ {
+				switch m.rng.Intn(3) {
+				case 0:
+					if undo := m.randomSwap(); undo != nil && m.rng.Intn(2) == 0 {
+						undo()
+					}
+				case 1:
+					m.randomResize()
+				case 2:
+					m.randomDeMorgan()
+				}
+				inc.Update()
+			}
+			if got := inc.Stats(); got != want[name] {
+				t.Fatalf("timer counters moved:\n got  %#v\n want %#v", got, want[name])
+			}
+		})
+	}
+}

@@ -29,7 +29,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -390,7 +390,7 @@ func (s *Session) retime(prev float64, start time.Time) *Delta {
 		}
 		s.prevSlack = s.prevSlack[:bound]
 		for _, g := range s.inc.LastTouched() {
-			if s.c.net.FindGate(g.Name()) != g {
+			if !s.c.net.Live(g) {
 				continue // removed during the mutation
 			}
 			id := g.ID()
@@ -404,8 +404,8 @@ func (s *Session) retime(prev float64, start time.Time) *Delta {
 		}
 		s.prevBound = bound
 	}
-	sort.Slice(d.ChangedSlacks, func(i, j int) bool {
-		return d.ChangedSlacks[i].Gate < d.ChangedSlacks[j].Gate
+	slices.SortFunc(d.ChangedSlacks, func(a, b SlackChange) int {
+		return strings.Compare(a.Gate, b.Gate)
 	})
 	d.Elapsed = time.Since(start)
 	// The view gets its own copy of the path, so the caller's Delta and
